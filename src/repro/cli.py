@@ -458,14 +458,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             requests_per_second=50, duration=args.duration))
     elif args.synthetic == "burst":
         from repro.traffic import BurstTrafficGenerator, BurstWindow
-        traffic = iter(BurstTrafficGenerator(
+        traffic = BurstTrafficGenerator(
             seed=args.seed,
             windows=(BurstWindow(intensity=args.burst_intensity),),
-        ).packets(duration=args.duration, gbps=args.gbps))
+        ).stream(duration=args.duration, gbps=args.gbps)
     else:
         from repro.traffic import CampusTrafficGenerator
-        traffic = iter(CampusTrafficGenerator(seed=args.seed).packets(
-            duration=args.duration, gbps=args.gbps))
+        traffic = CampusTrafficGenerator(seed=args.seed).stream(
+            duration=args.duration, gbps=args.gbps)
 
     printed = 0
 

@@ -14,34 +14,43 @@ from typing import Optional, Union
 from repro.packet.ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 
-IPAddr = Union[str, ipaddress.IPv4Address, ipaddress.IPv6Address]
+IPAddr = Union[str, bytes, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 _DEFAULT_SRC_MAC = bytes.fromhex("02aabbccdd01")
 _DEFAULT_DST_MAC = bytes.fromhex("02aabbccdd02")
 
 
-#: Per-word-count Struct cache for :func:`checksum16` — the traffic
-#: generators checksum every synthesized segment, and compiling
-#: ``!{n}H`` anew per call dominates the builder profile. The key space
-#: is the set of distinct frame sizes the generators emit (small).
-_CHECKSUM_STRUCTS: dict = {}
+def _complement(total: int) -> int:
+    """The checksum of data whose 16-bit words sum to ``total``.
+
+    Any ``total`` congruent to the word sum modulo 0xFFFF will do: the
+    end-around-carry fold of RFC 1071 is that residue, except that a
+    nonzero sum folds to 0xFFFF (checksum 0), never 0. Only all-zero
+    data sums to 0 and has checksum 0xFFFF.
+    """
+    if not total:
+        return 0xFFFF
+    return 0xFFFF - (total % 0xFFFF or 0xFFFF)
 
 
 def checksum16(data: bytes) -> int:
-    """RFC 1071 ones'-complement 16-bit checksum."""
+    """RFC 1071 ones'-complement 16-bit checksum.
+
+    ``data`` read as one big-endian integer is the sum of its 16-bit
+    words times powers of 2**16, and 2**16 = 1 (mod 0xFFFF), so that
+    integer is congruent to the word sum and one modulo folds it.
+    """
+    total = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    words = len(data) // 2
-    unpacker = _CHECKSUM_STRUCTS.get(words)
-    if unpacker is None:
-        unpacker = _CHECKSUM_STRUCTS[words] = struct.Struct(f"!{words}H")
-    total = sum(unpacker.unpack(data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        total <<= 8
+    return _complement(total)
 
 
-def _ip_bytes(addr: IPAddr) -> bytes:
+def packed_ip(addr: IPAddr) -> bytes:
+    """The 4- or 16-byte packed form of ``addr``; packed bytes pass
+    through unparsed."""
+    if type(addr) is bytes and len(addr) in (4, 16):
+        return addr
     return ipaddress.ip_address(addr).packed
 
 
@@ -76,8 +85,8 @@ def build_ipv4(
         ttl,
         protocol,
         0,  # checksum placeholder
-        _ip_bytes(src),
-        _ip_bytes(dst),
+        packed_ip(src),
+        packed_ip(dst),
     )
     csum = checksum16(header)
     return header[:10] + struct.pack("!H", csum) + header[12:] + payload
@@ -99,14 +108,14 @@ def build_ipv6(
         len(payload),
         next_header,
         hop_limit,
-        _ip_bytes(src),
-        _ip_bytes(dst),
+        packed_ip(src),
+        packed_ip(dst),
     )
     return header + payload
 
 
 def _pseudo_header(src: IPAddr, dst: IPAddr, protocol: int, length: int) -> bytes:
-    src_b, dst_b = _ip_bytes(src), _ip_bytes(dst)
+    src_b, dst_b = packed_ip(src), packed_ip(dst)
     if len(src_b) == 4:
         return src_b + dst_b + struct.pack("!BBH", 0, protocol, length)
     return src_b + dst_b + struct.pack("!IHBB", length, 0, 0, protocol)
@@ -158,14 +167,84 @@ def build_udp(
     return datagram[:6] + struct.pack("!H", csum) + datagram[8:]
 
 
-def _build_l3(payload: bytes, src: IPAddr, dst: IPAddr, protocol: int,
-              ttl: int) -> bytes:
-    src_ip = ipaddress.ip_address(src)
-    if src_ip.version == 4:
-        packet = build_ipv4(payload, src, dst, protocol, ttl=ttl)
-        return build_ethernet(packet, ETHERTYPE_IPV4)
-    packet = build_ipv6(payload, src, dst, protocol, hop_limit=ttl)
-    return build_ethernet(packet, ETHERTYPE_IPV6)
+#: Frame layouts behind :class:`FrameTemplate`. IPv4: Ethernet header
+#: plus version/DSCP bytes | total length | id, fragment, TTL, protocol
+#: | header checksum | addresses and ports. IPv6: Ethernet header plus
+#: version/flow-label word | payload length | next header, hop limit,
+#: addresses and ports. Then the rest of the TCP or UDP header.
+_V4_TCP = struct.Struct("!16sH6sH12sIIBBHHH")
+_V6_TCP = struct.Struct("!18sH38sIIBBHHH")
+_V4_UDP = struct.Struct("!16sH6sH12sHH")
+_V6_UDP = struct.Struct("!18sH38sHH")
+
+
+class FrameTemplate:
+    """Ethernet/IP/TCP-or-UDP headers for the frames one endpoint of a
+    flow sends.
+
+    What stays fixed over the flow is packed once: the Ethernet header,
+    the IP header but for its length (and IPv4 checksum), the ports, and
+    the checksum sums of those fixed words. A frame packs only its own
+    fields; each checksum is a fixed sum plus the frame's words,
+    complemented (sums add unfolded; see :func:`checksum16`).
+    """
+
+    __slots__ = ("_v4", "_head", "_mid", "_tail", "_ip_sum", "_l4_sum")
+
+    def __init__(self, src: IPAddr, dst: IPAddr, protocol: int,
+                 src_port: int, dst_port: int, ttl: int = 64) -> None:
+        src_b, dst_b = packed_ip(src), packed_ip(dst)
+        ports = struct.pack("!HH", src_port, dst_port)
+        self._v4 = len(src_b) == 4
+        if self._v4:
+            self._head = build_ethernet(b"\x45\x00", ETHERTYPE_IPV4)
+            self._mid = struct.pack("!HHBB", 0, 0, ttl, protocol)
+            self._tail = src_b + dst_b + ports
+            self._ip_sum = (0x4500 + (ttl << 8 | protocol)
+                            + int.from_bytes(src_b + dst_b, "big"))
+        else:
+            self._head = build_ethernet(struct.pack("!I", 6 << 28),
+                                        ETHERTYPE_IPV6)
+            self._mid = struct.pack("!BB", protocol, ttl) \
+                + src_b + dst_b + ports
+        # Pseudo-header addresses and protocol, plus the ports.
+        self._l4_sum = (int.from_bytes(src_b + dst_b, "big") + protocol
+                        + src_port + dst_port)
+
+    def tcp(self, payload: bytes, seq: int, ack: int, flags: int,
+            window: int = 65535) -> bytes:
+        """A TCP segment's frame, with valid IP and TCP checksums."""
+        seq &= 0xFFFFFFFF
+        ack &= 0xFFFFFFFF
+        length = 20 + len(payload)
+        data = int.from_bytes(payload, "big")
+        if length & 1:
+            data <<= 8
+        csum = _complement(self._l4_sum + length + seq + ack
+                           + (0x5000 | flags) + window + data)
+        if self._v4:
+            return _V4_TCP.pack(
+                self._head, 20 + length, self._mid,
+                _complement(self._ip_sum + 20 + length), self._tail,
+                seq, ack, 0x50, flags, window, csum, 0) + payload
+        return _V6_TCP.pack(self._head, length, self._mid,
+                            seq, ack, 0x50, flags, window, csum, 0) + payload
+
+    def udp(self, payload: bytes) -> bytes:
+        """A UDP datagram's frame, with valid IP and UDP checksums."""
+        length = 8 + len(payload)
+        data = int.from_bytes(payload, "big")
+        if length & 1:
+            data <<= 8
+        # The length is in both the pseudo-header and the UDP header.
+        csum = _complement(self._l4_sum + 2 * length + data) or 0xFFFF
+        if self._v4:
+            return _V4_UDP.pack(
+                self._head, 20 + length, self._mid,
+                _complement(self._ip_sum + 20 + length), self._tail,
+                length, csum) + payload
+        return _V6_UDP.pack(self._head, length, self._mid,
+                            length, csum) + payload
 
 
 def build_tcp_packet(
@@ -181,9 +260,8 @@ def build_tcp_packet(
     window: int = 65535,
 ) -> bytes:
     """Build a full Ethernet/IP/TCP frame (IPv4 or IPv6 by address type)."""
-    segment = build_tcp(payload, src, dst, src_port, dst_port,
-                        seq=seq, ack=ack, flags=flags, window=window)
-    return _build_l3(segment, src, dst, PROTO_TCP, ttl)
+    return FrameTemplate(src, dst, PROTO_TCP, src_port, dst_port,
+                         ttl).tcp(payload, seq, ack, flags, window)
 
 
 def build_icmp_echo(
@@ -214,5 +292,5 @@ def build_udp_packet(
     ttl: int = 64,
 ) -> bytes:
     """Build a full Ethernet/IP/UDP frame (IPv4 or IPv6 by address type)."""
-    datagram = build_udp(payload, src, dst, src_port, dst_port)
-    return _build_l3(datagram, src, dst, PROTO_UDP, ttl)
+    return FrameTemplate(src, dst, PROTO_UDP, src_port, dst_port,
+                         ttl).udp(payload)

@@ -16,7 +16,6 @@ what lets tests assert exact shed counts.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
@@ -64,13 +63,14 @@ class BurstTrafficGenerator:
         self._campus = CampusTrafficGenerator(seed, self.profile)
         self.rng = self._campus.rng
 
-    def packets(
+    def stream(
         self,
         duration: float = 1.0,
         gbps: float = 0.1,
         start_ts: float = 0.0,
-    ) -> List[Mbuf]:
-        """Generate ``duration`` seconds of bursty traffic.
+    ) -> Iterator[Mbuf]:
+        """Generate ``duration`` seconds of bursty traffic, one packet
+        at a time (see :meth:`CampusTrafficGenerator.stream`).
 
         ``gbps`` sets the *baseline* rate; each window contributes its
         own extra arrivals on top, so the total volume exceeds the
@@ -90,8 +90,16 @@ class BurstTrafficGenerator:
             arrivals.extend(w_start + rng.random() * w_len
                             for _ in range(extra))
         arrivals.sort()
-        flows = [self._campus._one_connection(ts) for ts in arrivals]
-        return list(heapq.merge(*flows, key=lambda mbuf: mbuf.timestamp))
+        return self._campus._merge_arrivals(arrivals)
+
+    def packets(
+        self,
+        duration: float = 1.0,
+        gbps: float = 0.1,
+        start_ts: float = 0.0,
+    ) -> List[Mbuf]:
+        """:meth:`stream`, as a list."""
+        return list(self.stream(duration, gbps, start_ts))
 
     def packed_batches(
         self,
@@ -100,6 +108,6 @@ class BurstTrafficGenerator:
         start_ts: float = 0.0,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator[PackedBatch]:
-        """Like :meth:`packets`, emitted as flat-buffer batches."""
+        """Like :meth:`stream`, emitted as flat-buffer batches."""
         yield from pack_stream(
-            self.packets(duration, gbps, start_ts), batch_size)
+            self.stream(duration, gbps, start_ts), batch_size)

@@ -252,39 +252,84 @@ class CampusTrafficGenerator:
         return packets
 
     # -- the stream ---------------------------------------------------------------
+    def stream(
+        self,
+        duration: float = 1.0,
+        gbps: float = 1.0,
+        start_ts: float = 0.0,
+    ) -> Iterator[Mbuf]:
+        """Generate ~``gbps`` of traffic for ``duration`` virtual seconds,
+        one packet at a time.
+
+        Connection arrivals are Poisson at a rate derived from the
+        profile's mean bytes per connection; all flows' packets are
+        merged into one timestamp-sorted stream. A flow is built only
+        when the merge reaches its arrival time (see
+        :meth:`_merge_arrivals`), so memory holds the flows still in
+        progress, not the trace. The arrival times are drawn here, the
+        flows as the stream is consumed; consume one stream of a
+        generator before starting the next.
+        """
+        target_bytes = gbps * 1e9 / 8 * duration
+        mean_conn_bytes = self.profile.estimate_mean_conn_bytes()
+        n_conns = max(1, int(target_bytes / mean_conn_bytes))
+        return self._merge_arrivals(
+            self._arrival_times(n_conns, duration, start_ts))
+
     def packets(
         self,
         duration: float = 1.0,
         gbps: float = 1.0,
         start_ts: float = 0.0,
     ) -> List[Mbuf]:
-        """Generate ~``gbps`` of traffic for ``duration`` virtual seconds.
-
-        Connection arrivals are Poisson at a rate derived from the
-        profile's mean bytes per connection; all flows' packets are
-        merged into one timestamp-sorted stream.
-        """
-        target_bytes = gbps * 1e9 / 8 * duration
-        mean_conn_bytes = self.profile.estimate_mean_conn_bytes()
-        n_conns = max(1, int(target_bytes / mean_conn_bytes))
-        arrival_times = sorted(
-            start_ts + self.rng.random() * duration for _ in range(n_conns)
-        )
-        flows = [self._one_connection(ts) for ts in arrival_times]
-        merged = list(heapq.merge(
-            *flows, key=lambda mbuf: mbuf.timestamp))
-        return merged
+        """:meth:`stream`, as a list."""
+        return list(self.stream(duration, gbps, start_ts))
 
     def connections(self, n_conns: int,
                     duration: float = 1.0,
                     start_ts: float = 0.0) -> List[Mbuf]:
         """Generate exactly ``n_conns`` connections over ``duration``."""
-        arrival_times = sorted(
-            start_ts + self.rng.random() * duration
-            for _ in range(n_conns)
-        )
-        flows = [self._one_connection(ts) for ts in arrival_times]
-        return list(heapq.merge(*flows, key=lambda mbuf: mbuf.timestamp))
+        return list(self._merge_arrivals(
+            self._arrival_times(n_conns, duration, start_ts)))
+
+    def _arrival_times(self, n_conns: int, duration: float,
+                       start_ts: float) -> List[float]:
+        return sorted(start_ts + self.rng.random() * duration
+                      for _ in range(n_conns))
+
+    def _merge_arrivals(self, arrivals: List[float]) -> Iterator[Mbuf]:
+        """Merge the connections arriving at the sorted ``arrivals`` by
+        timestamp, building each only when the merge reaches it.
+
+        The order is ``heapq.merge``'s over all the built flows: least
+        timestamp first, ties to the earlier flow. Flows are built in
+        arrival order, so the generator's random draws are unchanged. A
+        flow's first packet is stamped with its arrival time and no
+        packet of it is earlier, so while the next arrival is not
+        before the least pending timestamp, no unbuilt flow can precede
+        the heap's head (any tie goes to a built, hence earlier, flow).
+        """
+        heap: list = []
+        i, n = 0, len(arrivals)
+        while True:
+            while i < n and (not heap or arrivals[i] < heap[0][0]):
+                packets = iter(self._one_connection(arrivals[i]))
+                first = next(packets, None)
+                if first is not None:
+                    heapq.heappush(heap, [first.timestamp, i, first,
+                                          packets])
+                i += 1
+            if not heap:
+                return
+            entry = heap[0]
+            yield entry[2]
+            mbuf = next(entry[3], None)
+            if mbuf is None:
+                heapq.heappop(heap)
+            else:
+                entry[0] = mbuf.timestamp
+                entry[2] = mbuf
+                heapq.heapreplace(heap, entry)
 
     def packed_batches(
         self,
@@ -293,12 +338,14 @@ class CampusTrafficGenerator:
         start_ts: float = 0.0,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator["PackedBatch"]:
-        """Like :meth:`packets`, emitted as flat-buffer batches.
+        """Like :meth:`stream`, emitted as flat-buffer batches.
 
         Yields :class:`~repro.packet.batch.PackedBatch` chunks that
         ``Runtime.run`` consumes directly; packet content, order, and
         timestamps are identical to the per-mbuf stream (float64
-        timestamps round-trip exactly).
+        timestamps round-trip exactly). Packing reads the stream, so
+        memory holds one batch and the flows in progress, not the
+        trace.
         """
         yield from pack_stream(
-            self.packets(duration, gbps, start_ts), batch_size)
+            self.stream(duration, gbps, start_ts), batch_size)

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.packet.builder import (
+    FrameTemplate,
+    IPAddr,
     build_icmp_echo,
-    build_tcp_packet,
-    build_udp_packet,
+    packed_ip,
 )
+from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.packet.mbuf import Mbuf
 from repro.packet.tcp import TcpFlags
 from repro.protocols.dns.build import build_dns_query, build_dns_response
@@ -40,18 +42,29 @@ _ACK = int(TcpFlags.ACK)
 _PSH_ACK = int(TcpFlags.PSH | TcpFlags.ACK)
 _FIN_ACK = int(TcpFlags.FIN | TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
+_SYN_FIN = int(TcpFlags.SYN | TcpFlags.FIN)
 
 DEFAULT_MSS = 1448
 
 
 @dataclass
 class FlowSpec:
-    """Addressing for one flow."""
+    """Addressing for one flow; addresses as text or packed bytes."""
 
-    client_ip: str
-    server_ip: str
+    client_ip: IPAddr
+    server_ip: IPAddr
     client_port: int
     server_port: int
+
+    def templates(self, protocol: int
+                  ) -> Tuple[FrameTemplate, FrameTemplate]:
+        """Header templates for the client's and the server's frames.
+        Each address is parsed here, once per flow, not per frame."""
+        client, server = packed_ip(self.client_ip), packed_ip(self.server_ip)
+        return (FrameTemplate(client, server, protocol,
+                              self.client_port, self.server_port),
+                FrameTemplate(server, client, protocol,
+                              self.server_port, self.client_port))
 
 
 class TcpFlow:
@@ -81,6 +94,7 @@ class TcpFlow:
         self.server_seq = server_isn
         self.packets: List[Mbuf] = []
         self._last_from_client: Optional[bool] = None
+        self._client, self._server = spec.templates(PROTO_TCP)
 
     # -- internals -----------------------------------------------------------
     def _advance_time(self, from_client: bool) -> None:
@@ -94,28 +108,17 @@ class TcpFlow:
 
     def _emit(self, from_client: bool, payload: bytes, flags: int) -> Mbuf:
         self._advance_time(from_client)
-        spec = self.spec
+        span = len(payload) + (1 if flags & _SYN_FIN else 0)
         if from_client:
-            src, dst = spec.client_ip, spec.server_ip
-            sport, dport = spec.client_port, spec.server_port
-            seq, ack = self.client_seq, self.server_seq
-        else:
-            src, dst = spec.server_ip, spec.client_ip
-            sport, dport = spec.server_port, spec.client_port
-            seq, ack = self.server_seq, self.client_seq
-        frame = build_tcp_packet(
-            src, dst, sport, dport, payload=payload,
-            seq=seq, ack=ack, flags=flags,
-        )
-        mbuf = Mbuf(frame, timestamp=self.ts)
-        self.packets.append(mbuf)
-        span = len(payload)
-        if flags & (_SYN | int(TcpFlags.FIN)):
-            span += 1
-        if from_client:
+            frame = self._client.tcp(payload, self.client_seq,
+                                     self.server_seq, flags)
             self.client_seq = (self.client_seq + span) % (1 << 32)
         else:
+            frame = self._server.tcp(payload, self.server_seq,
+                                     self.client_seq, flags)
             self.server_seq = (self.server_seq + span) % (1 << 32)
+        mbuf = Mbuf(frame, timestamp=self.ts)
+        self.packets.append(mbuf)
         return mbuf
 
     # -- conversation steps ---------------------------------------------------
@@ -322,15 +325,9 @@ def dns_flow(
     query = build_dns_query(name, qtype=qtype, txn_id=txn_id)
     response = build_dns_response(name, answer, qtype=qtype,
                                   txn_id=txn_id, rcode=rcode)
-    spec_frames = [
-        Mbuf(build_udp_packet(spec.client_ip, spec.server_ip,
-                              spec.client_port, spec.server_port, query),
-             timestamp=start_ts),
-        Mbuf(build_udp_packet(spec.server_ip, spec.client_ip,
-                              spec.server_port, spec.client_port, response),
-             timestamp=start_ts + rtt),
-    ]
-    return spec_frames
+    client, server = spec.templates(PROTO_UDP)
+    return [Mbuf(client.udp(query), timestamp=start_ts),
+            Mbuf(server.udp(response), timestamp=start_ts + rtt)]
 
 
 def udp_flow(
@@ -340,18 +337,12 @@ def udp_flow(
     gap: float = 0.001,
 ) -> List[Mbuf]:
     """Generic UDP traffic (QUIC-ish opaque datagrams)."""
+    client, server = spec.templates(PROTO_UDP)
     frames = []
     ts = start_ts
     for i, size in enumerate(payload_sizes):
-        from_client = i % 2 == 0
-        src = spec.client_ip if from_client else spec.server_ip
-        dst = spec.server_ip if from_client else spec.client_ip
-        sport = spec.client_port if from_client else spec.server_port
-        dport = spec.server_port if from_client else spec.client_port
-        frames.append(Mbuf(
-            build_udp_packet(src, dst, sport, dport, bytes(size)),
-            timestamp=ts,
-        ))
+        sender = client if i % 2 == 0 else server
+        frames.append(Mbuf(sender.udp(bytes(size)), timestamp=ts))
         ts += gap
     return frames
 
@@ -367,6 +358,7 @@ def quic_flow(
 ) -> List[Mbuf]:
     """A QUIC connection over UDP: client and server Initials followed
     by short-header 1-RTT packets, with the requested datagram sizes."""
+    client, server = spec.templates(PROTO_UDP)
     frames = []
     ts = start_ts
     for i, size in enumerate(payload_sizes):
@@ -383,14 +375,8 @@ def quic_flow(
             datagram = build_quic_short(
                 dcid if from_client else scid,
                 payload_len=max(size - 20, 16))
-        src = spec.client_ip if from_client else spec.server_ip
-        dst = spec.server_ip if from_client else spec.client_ip
-        sport = spec.client_port if from_client else spec.server_port
-        dport = spec.server_port if from_client else spec.client_port
-        frames.append(Mbuf(
-            build_udp_packet(src, dst, sport, dport, datagram),
-            timestamp=ts,
-        ))
+        sender = client if from_client else server
+        frames.append(Mbuf(sender.udp(datagram), timestamp=ts))
         ts += gap
     return frames
 
@@ -402,14 +388,15 @@ def ping_flow(
     rtt: float = 0.01,
 ) -> List[Mbuf]:
     """An ICMP echo request/reply exchange."""
+    client, server = packed_ip(spec.client_ip), packed_ip(spec.server_ip)
     frames = []
     ts = start_ts
     for sequence in range(1, count + 1):
         frames.append(Mbuf(build_icmp_echo(
-            spec.client_ip, spec.server_ip, identifier=spec.client_port,
+            client, server, identifier=spec.client_port,
             sequence=sequence), timestamp=ts))
         frames.append(Mbuf(build_icmp_echo(
-            spec.server_ip, spec.client_ip, identifier=spec.client_port,
+            server, client, identifier=spec.client_port,
             sequence=sequence, reply=True), timestamp=ts + rtt))
         ts += 1.0
     return frames

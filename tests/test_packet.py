@@ -4,8 +4,11 @@ import ipaddress
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PacketParseError
+from repro.netem.impair import frame_checksums_ok
 from repro.packet import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
@@ -17,12 +20,19 @@ from repro.packet import (
     TcpFlags,
     Udp,
     build_ethernet,
+    build_ipv4,
+    build_ipv6,
+    build_tcp,
     build_tcp_packet,
+    build_udp,
     build_udp_packet,
     checksum16,
     parse_stack,
 )
+from repro.packet.builder import FrameTemplate
 from repro.packet.ethernet import ETHERTYPE_VLAN
+from repro.packet.fragments import fragment_ipv4
+from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 
 
 def make_tcp_mbuf(**kwargs):
@@ -32,6 +42,16 @@ def make_tcp_mbuf(**kwargs):
     )
     defaults.update(kwargs)
     return Mbuf(build_tcp_packet(**defaults))
+
+
+def _layered(l4: bytes, src: str, dst: str, protocol: int,
+             ttl: int) -> bytes:
+    """A frame assembled from the one-header-at-a-time builders."""
+    if ipaddress.ip_address(src).version == 4:
+        return build_ethernet(build_ipv4(l4, src, dst, protocol, ttl=ttl),
+                              ETHERTYPE_IPV4)
+    return build_ethernet(build_ipv6(l4, src, dst, protocol, hop_limit=ttl),
+                          ETHERTYPE_IPV6)
 
 
 class TestEthernet:
@@ -199,7 +219,100 @@ class TestParseStack:
         assert stack.eth is None
 
 
+def rfc1071(data: bytes) -> int:
+    """The RFC 1071 reference: sum 16-bit words, fold the carries back
+    in, complement."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+_ADDRS = st.sampled_from([
+    ("10.0.0.1", "192.168.1.2"), ("0.0.0.0", "0.0.0.0"),
+    ("255.255.255.255", "255.255.255.255"),
+    ("2001:db8::1", "2607:f010:9::9"), ("::", "::"),
+    ("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "::1"),
+])
+_U16 = st.integers(0, 0xFFFF)
+_U32 = st.integers(0, 0xFFFFFFFF)
+
+
 class TestChecksum16:
+    @pytest.mark.parametrize("data", [
+        b"", b"\x00", b"\x00" * 20, b"\x00" * 21, b"\xff", b"\xff" * 2,
+        b"\xff" * 21, b"\xff" * 1500, b"\x00\x01", b"\xff\xfe",
+        b"\xff\xff\x00\x00",
+    ])
+    def test_edge_cases_match_reference(self, data):
+        assert checksum16(data) == rfc1071(data)
+
+    def test_all_zero_and_all_ones(self):
+        assert checksum16(b"") == checksum16(bytes(40)) == 0xFFFF
+        assert checksum16(b"\xff" * 40) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=3000))
+    def test_matches_rfc1071_reference(self, data):
+        assert checksum16(data) == rfc1071(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200), st.integers(0, 99))
+    def test_filled_in_checksum_verifies_to_zero(self, data, slot):
+        # The check netem.impair and packet.fragments rely on: with the
+        # checksum written into its (even-aligned) field, the checksum
+        # over the whole header is 0.
+        data = bytearray(data + bytes(len(data) % 2))
+        at = min(2 * slot, len(data))
+        data[at:at + 2] = b"\x00\x00"
+        data[at:at + 2] = struct.pack("!H", checksum16(bytes(data)))
+        assert checksum16(bytes(data)) == 0
+
+    def test_fragment_headers_verify_to_zero(self):
+        frame = build_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2,
+                                 bytes(range(256)) * 12)
+        fragments = fragment_ipv4(frame, 512)
+        assert len(fragments) > 1
+        assert all(checksum16(f[14:34]) == 0 for f in fragments)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ADDRS, _U16, _U16, st.binary(max_size=1500), _U32, _U32,
+           st.integers(0, 0xFF), _U16, st.integers(1, 255))
+    def test_tcp_template_matches_layered_builders(
+            self, addrs, sport, dport, payload, seq, ack, flags, window,
+            ttl):
+        src, dst = addrs
+        frame = FrameTemplate(src, dst, PROTO_TCP, sport, dport,
+                              ttl).tcp(payload, seq, ack, flags, window)
+        segment = build_tcp(payload, src, dst, sport, dport, seq=seq,
+                            ack=ack, flags=flags, window=window)
+        assert frame == _layered(segment, src, dst, PROTO_TCP, ttl)
+        assert frame_checksums_ok(frame) is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ADDRS, _U16, _U16, st.binary(max_size=1500),
+           st.integers(1, 255))
+    def test_udp_template_matches_layered_builders(
+            self, addrs, sport, dport, payload, ttl):
+        src, dst = addrs
+        frame = FrameTemplate(src, dst, PROTO_UDP, sport, dport,
+                              ttl).udp(payload)
+        datagram = build_udp(payload, src, dst, sport, dport)
+        assert frame == _layered(datagram, src, dst, PROTO_UDP, ttl)
+        assert frame_checksums_ok(frame) is True
+
+    def test_packed_addresses_build_the_same_frame(self):
+        for src, dst in (("10.1.2.3", "171.64.9.9"),
+                         ("2001:db8::1", "2001:db8::2")):
+            packed = (ipaddress.ip_address(src).packed,
+                      ipaddress.ip_address(dst).packed)
+            assert build_tcp_packet(*packed, 1, 2, b"abc") == \
+                build_tcp_packet(src, dst, 1, 2, b"abc")
+            assert build_udp_packet(*packed, 1, 2, b"abc") == \
+                build_udp_packet(src, dst, 1, 2, b"abc")
+
     def test_known_vector(self):
         # Classic example from RFC 1071 discussions.
         data = bytes.fromhex("00010f2000348802")

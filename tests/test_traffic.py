@@ -1,11 +1,13 @@
 """Tests for traffic synthesis: flows, campus mix, workloads, pcap."""
 
+import pickle
 import random
 
 import pytest
 
-from repro.packet import Mbuf, TcpFlags, parse_stack
+from repro.packet import Mbuf, TcpFlags, pack_stream, parse_stack
 from repro.traffic import (
+    BurstTrafficGenerator,
     CampusTrafficGenerator,
     FlowSpec,
     HttpsWorkloadGenerator,
@@ -193,6 +195,61 @@ class TestCampusGenerator:
         assert packets
         times = [m.timestamp for m in packets]
         assert times == sorted(times)
+
+
+def _frames(mbufs):
+    return [(m.data, m.timestamp, m.port) for m in mbufs]
+
+
+class TestStream:
+    @pytest.mark.parametrize("make", [
+        lambda: CampusTrafficGenerator(seed=9),
+        lambda: BurstTrafficGenerator(seed=9),
+    ])
+    def test_packets_is_the_stream_as_a_list(self, make):
+        packets = make().packets(0.2, 0.05, start_ts=1.5)
+        assert type(packets) is list
+        assert _frames(packets) == _frames(make().stream(0.2, 0.05, 1.5))
+
+    def test_flows_are_built_as_the_merge_reaches_them(self):
+        gen = CampusTrafficGenerator(seed=9)
+        build = gen._one_connection
+        built = []
+
+        def counting(ts):
+            built.append(ts)
+            return build(ts)
+
+        gen._one_connection = counting
+        stream = gen.stream(1.0, 0.2)
+        assert built == []
+        count = 0
+        for mbuf in stream:
+            if len(built) > count:
+                # Built just in time: the packet after a build is the
+                # new flow's first, stamped with its arrival time.
+                assert len(built) == count + 1
+                assert mbuf.timestamp == built[-1]
+                count += 1
+        assert count > 100
+
+    @pytest.mark.parametrize("make", [
+        lambda: CampusTrafficGenerator(seed=4),
+        lambda: BurstTrafficGenerator(seed=4),
+    ])
+    def test_packed_batches_match_packing_the_list(self, make):
+        # Byte-identical to the batches packed from the whole list.
+        want = [pickle.dumps(b) for b in
+                pack_stream(make().packets(0.2, 0.05), 64)]
+        got = [pickle.dumps(b) for b in
+               make().packed_batches(0.2, 0.05, batch_size=64)]
+        assert got == want and len(want) > 2
+
+    def test_packed_batches_pack_from_the_stream(self):
+        gen = CampusTrafficGenerator(seed=4)
+        gen.packets = None  # packing must not materialize the trace
+        batches = gen.packed_batches(1.0, 0.2, batch_size=32)
+        assert len(next(batches)) == 32
 
 
 class TestHttpsWorkload:
