@@ -8,6 +8,10 @@ parse-once path and records whether they agree:
    plain v4/v6 TCP/UDP) plus a campus traffic sample, for a panel of
    filters in both codegen and interp modes.
 2. **End-to-end AggregateStats** byte equality on the campus workload.
+3. **Byte-stream chunk digests** on the same campus workload: the
+   SHA-256 of every delivered ``StreamChunk`` (five-tuple, direction,
+   timestamp, payload), in delivery order. Stats hold no payload bytes,
+   so only this section sees a reassembler fed the wrong frame slice.
 
 Writes ``benchmarks/results/columnar_parity.json`` and exits non-zero
 on any disagreement, so CI can both gate on and archive the report.
@@ -15,6 +19,7 @@ on any disagreement, so CI can both gate on and archive the report.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import sys
@@ -138,14 +143,46 @@ def check_end_to_end() -> dict:
             "ok": scalar == columnar}
 
 
+def check_chunks() -> dict:
+    """Delivered byte-stream chunk digests, columnar vs scalar runtime."""
+
+    def digests(columnar: bool) -> list:
+        traffic = CampusTrafficGenerator(seed=42).packets(
+            duration=0.1, gbps=0.1)
+        out = []
+
+        def sink(chunk) -> None:
+            head = f"{chunk.five_tuple}|{chunk.from_orig}|" \
+                f"{chunk.timestamp!r}|".encode()
+            out.append(hashlib.sha256(head + chunk.payload).hexdigest())
+
+        runtime = Runtime(RuntimeConfig(cores=2, columnar=columnar),
+                          filter_str="tcp or udp", datatype="byte_stream",
+                          callback=sink)
+        runtime.run(iter(traffic))
+        return out
+
+    scalar = digests(False)
+    columnar = digests(True)
+    mismatch = next((i for i, (a, b) in enumerate(zip(scalar, columnar))
+                     if a != b), None)
+    if mismatch is None and len(scalar) != len(columnar):
+        mismatch = min(len(scalar), len(columnar))
+    ok = bool(scalar) and mismatch is None
+    return {"chunks_scalar": len(scalar), "chunks_columnar": len(columnar),
+            "digest": hashlib.sha256("".join(columnar).encode()).hexdigest(),
+            "first_mismatch": mismatch, "ok": ok}
+
+
 def main() -> int:
     mbufs = corpus() + list(CampusTrafficGenerator(seed=7).packets(
         duration=0.02, gbps=0.05))
     report = {
         "verdicts": check_filters(mbufs),
         "end_to_end": check_end_to_end(),
+        "stream_chunks": check_chunks(),
     }
-    report["ok"] = report["verdicts"]["ok"] and report["end_to_end"]["ok"]
+    report["ok"] = all(report[k]["ok"] for k in report)
     REPORT_PATH.parent.mkdir(exist_ok=True)
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

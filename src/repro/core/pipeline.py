@@ -45,7 +45,7 @@ from repro.core.datatypes import (
 )
 from repro.core.stats import CoreStats
 from repro.core.subscription import Subscription
-from repro.packet.columnar import decode_mbufs
+from repro.packet.columnar import decode_mbufs, l4_payload
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.packet.mbuf import Mbuf
 from repro.packet.stack import parse_stack
@@ -636,9 +636,11 @@ class CorePipeline:
         columns — no :func:`parse_stack`, no header views, and a
         :class:`FiveTuple` object only when a connection is actually
         created (with its canonical cache pre-seeded, so
-        ``Connection.__init__`` reuses the same key tuple). The stack
-        is parsed lazily, only for connections that still probe, parse,
-        or stream payload bytes; pure TRACK-state flows never touch it.
+        ``Connection.__init__`` reuses the same key tuple). Connections
+        that still probe, parse, or stream payload bytes feed the
+        reassembler from the columns too: the payload is sliced by the
+        decoded lengths (:func:`~repro.packet.columnar.l4_payload`), and
+        seq/flags are column reads.
         """
         stats = self.stats
         ledger = stats.ledger
@@ -714,18 +716,16 @@ class CorePipeline:
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
             elif self.sub.streams_bytes and conn.matched:
-                stack = parse_stack(mbuf)
-                five_tuple = FiveTuple.from_stack(stack)
-                segments = self._reassemble(conn, stack, five_tuple,
-                                            stack.l4_payload())
+                segments = self._reassemble(
+                    conn, mbuf, l4_payload(mbuf, cols, i), seq, flags,
+                    from_orig)
                 self._handle_stream_segments(conn, segments)
         elif state in _PROBE_OR_PARSE:
             if self.sub.buffers_packets and not conn.matched:
                 conn.buffer_packet(mbuf)
-            stack = parse_stack(mbuf)
-            five_tuple = FiveTuple.from_stack(stack)
-            segments = self._reassemble(conn, stack, five_tuple,
-                                        stack.l4_payload())
+            segments = self._reassemble(
+                conn, mbuf, l4_payload(mbuf, cols, i), seq, flags,
+                from_orig)
             if self.sub.streams_bytes:
                 self._handle_stream_segments(conn, segments)
             if segments:
@@ -829,14 +829,15 @@ class CorePipeline:
             elif self.sub.streams_bytes and conn.matched:
                 # Byte-stream subscriptions keep the reorderer alive
                 # past the filter match: the stream IS the data.
-                segments = self._reassemble(conn, stack, five_tuple,
-                                            stack.l4_payload())
+                segments = self._reassemble(conn, mbuf,
+                                            stack.l4_payload(), seq,
+                                            flags, from_orig)
                 self._handle_stream_segments(conn, segments)
         elif state in (ConnState.PROBE, ConnState.PARSE):
             if self.sub.buffers_packets and not conn.matched:
                 conn.buffer_packet(mbuf)
-            segments = self._reassemble(conn, stack, five_tuple,
-                                        stack.l4_payload())
+            segments = self._reassemble(conn, mbuf, stack.l4_payload(),
+                                        seq, flags, from_orig)
             if self.sub.streams_bytes:
                 self._handle_stream_segments(conn, segments)
             if segments:
@@ -920,30 +921,37 @@ class CorePipeline:
                 stats=self.stats)
 
     # -- reassembly ----------------------------------------------------------
-    def _reassemble(self, conn: Connection, stack, five_tuple,
-                    payload: bytes) -> List[StreamSegment]:
+    def _reassemble(self, conn: Connection, mbuf: Mbuf, payload: bytes,
+                    seq: Optional[int], flags: Optional[int],
+                    from_orig: bool) -> List[StreamSegment]:
+        """Push one packet's L4 payload; return the in-order segments.
+
+        The one reassembly entry for both stateful paths: columnar rows
+        pass column reads, scalar rows their parsed stack's fields.
+        ``payload`` must be a copy (shared-memory slots recycle under
+        held PDUs); ``seq``/``flags`` are ignored for UDP.
+        """
         if conn.five_tuple.protocol == PROTO_UDP:
             if not payload:
                 return []
-            return [StreamSegment(payload,
-                                  conn.five_tuple.same_direction(five_tuple),
-                                  self._now)]
-        if conn.reassembler is None:
+            return [StreamSegment(payload, from_orig, self._now)]
+        reassembler = conn.reassembler
+        if reassembler is None:
             return []
-        pdu = L4Pdu.from_stack(stack, five_tuple, conn.five_tuple, payload)
+        pdu = L4Pdu(mbuf, payload, seq, flags, from_orig, mbuf.timestamp)
         # Every segment of a connection still being probed/parsed goes
         # through the reorderer (sequence tracking examines ACKs too).
-        model = self.stats.ledger.model
         if self.config.reassembler == "buffered":
             # Traditional design additionally memcpys every payload
             # byte into the stream buffer.
+            model = self.stats.ledger.model
             self.stats.ledger.charge_cycles(
                 Stage.REASSEMBLY,
                 model.reassembly +
                 model.reassembly_copy_per_byte * len(payload),
             )
-            segments = conn.reassembler.push(pdu)
-            dropped = conn.reassembler.drain_truncations()
+            segments = reassembler.push(pdu)
+            dropped = reassembler.drain_truncations()
             if dropped:
                 # max_buffer overflow: the stream was truncated at a
                 # hole. Surface it as an explicit event (telemetry +
@@ -958,7 +966,7 @@ class CorePipeline:
                     self._tracer.record(conn, self._now, "truncated")
             return segments
         self.stats.ledger.charge(Stage.REASSEMBLY)
-        return conn.reassembler.push(pdu)
+        return reassembler.push(pdu)
 
     # -- probing ---------------------------------------------------------------
     def _probe(self, conn: Connection, segments: List[StreamSegment]) -> None:

@@ -99,10 +99,13 @@ class ColumnarBatch:
     ``i``-th mbuf of the burst the batch was decoded from. TCP-specific
     columns (``tcp_seq``, ``tcp_flags``) carry meaningless values for
     non-TCP rows; consumers must gate on ``proto``. Address columns
-    hold raw wire bytes — 4 per row for IPv4, 16 for IPv6 — and
-    ``ip_total_len`` is only meaningful on IPv4 rows; all columns other
-    than ``wire``/``fast``/``payload_len``/``ethertype`` are only
-    meaningful where ``fast[i]`` is True.
+    hold raw wire bytes — 4 per row for IPv4, 16 for IPv6.
+    ``ip_total_len`` is the IP datagram length on both versions (IPv6
+    rows hold payload length + 40), so a fast row's L4 payload is the
+    ``payload_len`` bytes ending at ``min(14 + ip_total_len, wire)``
+    (see :func:`l4_payload`). All columns other than
+    ``wire``/``fast``/``payload_len``/``ethertype`` are only meaningful
+    where ``fast[i]`` is True.
     """
 
     __slots__ = ("n", "wire", "fast", "ethertype", "proto", "src_ip",
@@ -183,6 +186,7 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
     dst_port: List[int] = list(dst_port4)
     tcp_seq: List[int] = list(tcp_seq4)
     tcp_flags: List[int] = list(tcp_flags4)
+    ip_len: List[int] = list(ip_total_len)
     for i in range(n):
         et = ethertype[i]
         w = wire[i]
@@ -229,6 +233,7 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
             dst_port[i] = dst_port6[i]
             tcp_seq[i] = tcp_seq6[i]
             tcp_flags[i] = tcp_flags6[i]
+            ip_len[i] = 40 + v6_plen[i]
             end = 54 + v6_plen[i]
         else:
             continue
@@ -239,7 +244,26 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
             payload_len[i] = end - start
     return ColumnarBatch(n, wire, fast, ethertype, proto, src_ip, dst_ip,
                          src_port, dst_port, payload_len, tcp_flags,
-                         tcp_seq, ip_total_len)
+                         tcp_seq, ip_len)
+
+
+def l4_payload(mbuf: Mbuf, cols: ColumnarBatch, i: int) -> bytes:
+    """Row ``i``'s L4 payload, sliced straight from the columns.
+
+    Equal to ``parse_stack(mbuf).l4_payload()`` for every fast row: the
+    payload ends where the IP datagram does (Ethernet padding excluded)
+    or at the end of a truncated frame, and ``payload_len`` already
+    counts back to the transport header's end. Always a copy, so the
+    result outlives a recycled shared-memory slot.
+    """
+    n = cols.payload_len[i]
+    if not n:
+        return b""
+    end = 14 + cols.ip_total_len[i]
+    wire = cols.wire[i]
+    if end > wire:
+        end = wire
+    return bytes(mbuf.data[end - n:end])
 
 
 def columnar_dispatch(mbufs: Iterable[Mbuf], nics: Sequence,

@@ -4,14 +4,17 @@ This is the design Section 5.2 argues against: every payload is copied
 into a per-direction receive buffer keyed by stream offset, and
 contiguous prefixes are handed to the application as they complete.
 Memory cost is the buffered byte count (copies), not held references.
+Delivered segments are the lazy reassembler's: each keeps its own
+arrival timestamp, and the first copy buffered at a sequence number
+wins over later duplicates.
 Used by the lazy-vs-eager ablation benchmark and the IDS baselines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.stream.pdu import L4Pdu, StreamSegment
+from repro.stream.pdu import SYN, L4Pdu, StreamSegment
 from repro.stream.reassembly import seq_diff
 
 _SEQ_MOD = 1 << 32
@@ -27,8 +30,9 @@ class _BufferedDirection:
 
     def __init__(self, max_buffer: int) -> None:
         self.base: Optional[int] = None  # seq of next byte to deliver
-        #: Out-of-order byte ranges keyed by sequence number (copies).
-        self.segments: Dict[int, bytes] = {}
+        #: Out-of-order byte ranges (copies) with their arrival
+        #: timestamps, keyed by sequence number.
+        self.segments: Dict[int, Tuple[bytes, float]] = {}
         self.buffered_bytes = 0
         self.ooo_events = 0
         self.dup_segments = 0
@@ -46,9 +50,9 @@ class _BufferedDirection:
         self.pending_truncations: List[int] = []
 
     def push(self, pdu: L4Pdu) -> List[StreamSegment]:
+        seq = (pdu.seq + (1 if pdu.flags & SYN else 0)) % _SEQ_MOD
         if self.base is None:
-            self.base = (pdu.seq + (1 if pdu.is_syn else 0)) % _SEQ_MOD
-        seq = (pdu.seq + (1 if pdu.is_syn else 0)) % _SEQ_MOD
+            self.base = seq
         payload = pdu.payload
         if payload:
             diff = seq_diff(seq, self.base)
@@ -63,10 +67,11 @@ class _BufferedDirection:
                     <= self.max_buffer:
                 if seq_diff(seq, self.base) > 0:
                     self.ooo_events += 1
-                # The copy: this is the work the lazy design skips.
-                self.segments[seq] = bytes(payload)
-                self.copied_bytes += len(payload)
-                self.buffered_bytes += len(payload)
+                if seq not in self.segments:
+                    # The copy: this is the work the lazy design skips.
+                    self.segments[seq] = (bytes(payload), pdu.timestamp)
+                    self.copied_bytes += len(payload)
+                    self.buffered_bytes += len(payload)
             elif payload:
                 # Buffer overflow: the segment is dropped and the
                 # stream truncated at the hole. Record an explicit
@@ -74,32 +79,32 @@ class _BufferedDirection:
                 self.truncated_segments += 1
                 self.truncated_bytes += len(payload)
                 self.pending_truncations.append(len(payload))
-        if pdu.is_fin:
-            pass  # FIN consumes a seqno but carries no data to copy
+        # A FIN consumes a seqno but carries no data to copy.
         return self._drain(pdu)
 
     def _drain(self, pdu: L4Pdu) -> List[StreamSegment]:
         out: List[StreamSegment] = []
         while True:
-            chunk = self.segments.pop(self.base, None)
-            if chunk is None:
+            entry = self.segments.pop(self.base, None)
+            if entry is None:
                 # Tolerate overlap-trimmed segments starting below base.
                 stale = [
                     s for s in self.segments if seq_diff(s, self.base) < 0
                 ]
                 for s in stale:
-                    data = self.segments.pop(s)
+                    data, ts = self.segments.pop(s)
                     self.buffered_bytes -= len(data)
                     keep = seq_diff(s, self.base) + len(data)
                     if keep > 0:
-                        self.segments[self.base] = data[-keep:]
+                        self.segments[self.base] = (data[-keep:], ts)
                         self.buffered_bytes += keep
                 if not stale:
                     break
                 continue
+            chunk, ts = entry
             self.buffered_bytes -= len(chunk)
             self.base = (self.base + len(chunk)) % _SEQ_MOD
-            out.append(StreamSegment(chunk, pdu.from_orig, pdu.timestamp))
+            out.append(StreamSegment(chunk, pdu.from_orig, ts))
         return out
 
     @property

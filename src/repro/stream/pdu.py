@@ -8,15 +8,23 @@ from typing import Optional
 from repro.conntrack.five_tuple import FiveTuple
 from repro.packet.mbuf import Mbuf
 from repro.packet.stack import PacketStack
-from repro.packet.tcp import TcpFlags
+
+# Raw TCP flag bits. ``flags`` is a plain int, and masking it with
+# ints skips the ``enum.IntFlag`` construction that testing against
+# ``TcpFlags`` members costs on every reassembled segment.
+FIN = 0x01
+SYN = 0x02
+RST = 0x04
 
 
 @dataclass
 class L4Pdu:
     """One transport segment as handed to the reassembler.
 
-    ``payload`` references the mbuf's bytes (no copy); ``from_orig``
-    orients the segment relative to the connection originator.
+    ``payload`` is a copy of the frame's L4 bytes (shared-memory slots
+    recycle under held PDUs); ``mbuf`` is the held reference the lazy
+    reassembler charges memory for. ``from_orig`` orients the segment
+    relative to the connection originator.
     """
 
     mbuf: Mbuf
@@ -60,21 +68,22 @@ class L4Pdu:
 
     @property
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN)
+        return bool(self.flags & SYN)
 
     @property
     def is_fin(self) -> bool:
-        return bool(self.flags & TcpFlags.FIN)
+        return bool(self.flags & FIN)
 
     @property
     def is_rst(self) -> bool:
-        return bool(self.flags & TcpFlags.RST)
+        return bool(self.flags & RST)
 
     @property
     def seq_span(self) -> int:
         """Sequence numbers this segment consumes."""
-        return len(self.payload) + (1 if self.is_syn else 0) + \
-            (1 if self.is_fin else 0)
+        flags = self.flags
+        return len(self.payload) + (1 if flags & SYN else 0) + \
+            (1 if flags & FIN else 0)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.stream.pdu import L4Pdu, StreamSegment
+from repro.stream.pdu import FIN, L4Pdu, StreamSegment
 
 #: Paper default: maximum out-of-order packets held per direction.
 DEFAULT_OOO_CAPACITY = 500
@@ -143,7 +143,7 @@ class FlowDirectionState:
             self.stats.reasm_overlap_segments += 1
         new_payload = pdu.payload[-tail_len:]
         self.expected = (self.expected + tail_len +
-                         (1 if pdu.is_fin else 0)) % _SEQ_MOD
+                         (1 if pdu.flags & FIN else 0)) % _SEQ_MOD
         out = [StreamSegment(new_payload, pdu.from_orig, pdu.timestamp)]
         out.extend(self._flush())
         return out

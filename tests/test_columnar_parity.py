@@ -5,14 +5,18 @@ column-keyed conntrack) must agree with the scalar parse-once path on
 *every* frame: fast rows bit-for-bit, slow rows by falling back to
 ``parse_stack``. This suite drives a corpus of VLAN, QinQ, IPv4-option,
 IPv6, extension-header, fragmented, truncated, and plain frames through
-both and asserts identical five-tuples, filter verdicts (codegen and
-interp), and end-to-end AggregateStats.
+both and asserts identical five-tuples, L4 payloads, filter verdicts
+(codegen and interp), and end-to-end AggregateStats — and that a
+byte-stream run over fast rows never builds a ``PacketStack``.
 """
 
 import json
 import struct
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Runtime, RuntimeConfig
 from repro.filter import compile_filter
@@ -24,7 +28,10 @@ from repro.packet import (
     build_udp_packet,
     parse_stack,
 )
-from repro.packet.columnar import decode_mbufs
+from repro.packet import stack as stack_module
+from repro.packet.columnar import decode_mbufs, l4_payload
+from repro.traffic import CampusTrafficGenerator, FlowSpec, http_flow, \
+    tls_flow
 
 ETHERTYPE_VLAN = 0x8100
 ETHERTYPE_QINQ = 0x88A8
@@ -219,3 +226,95 @@ class TestColumnarEndToEnd:
         scalar = self._canonical(columnar=False, filter_str="ipv6 and tcp")
         columnar = self._canonical(columnar=True, filter_str="ipv6 and tcp")
         assert columnar == scalar
+
+    def test_tls_handshake_sessions_identical(self):
+        """The probe/parse path: parsers see column-fed segments."""
+        traffic = list(CampusTrafficGenerator(seed=3).packets(
+            duration=1.0, gbps=0.1))
+
+        def sessions(columnar):
+            out = []
+            runtime = Runtime(RuntimeConfig(cores=2, columnar=columnar),
+                              filter_str="tls", datatype="tls_handshake",
+                              callback=lambda s: out.append(repr(s)))
+            runtime.run(Mbuf(bytes(m.data), m.timestamp) for m in traffic)
+            return out
+
+        scalar = sessions(False)
+        assert len(scalar) > 10
+        assert sessions(True) == scalar
+
+
+class TestColumnPayloads:
+    """Fast rows feed the reassembler from the columns: the payload
+    slice must equal the scalar walk's on every fast row."""
+
+    @staticmethod
+    def _check(mbufs):
+        cols = decode_mbufs(mbufs)
+        checked = 0
+        for i, mbuf in enumerate(mbufs):
+            if not cols.fast[i]:
+                continue
+            want = parse_stack(Mbuf(bytes(mbuf.data))).l4_payload()
+            assert l4_payload(mbuf, cols, i) == want
+            checked += bool(want)
+        return checked
+
+    def test_corpus_and_campus_sample(self):
+        padded = [Mbuf(frame + bytes(60 - len(frame)))
+                  for frame in (_tcp4(payload=b""), _tcp4(payload=b"!"),
+                                _udp4(payload=b"ab"))]
+        campus = list(CampusTrafficGenerator(seed=7).packets(
+            duration=0.3, gbps=0.1))
+        assert self._check(corpus_mbufs() + padded + campus) > 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, len(corpus_frames()) - 1),
+        st.integers(0, 120), st.integers(0, 24)),
+        min_size=1, max_size=6))
+    def test_truncated_and_padded_frames(self, rows):
+        # Cut each corpus frame at an arbitrary length, then zero-pad
+        # it: the IP length may then overrun the frame or end early.
+        frames = corpus_frames()
+        self._check([Mbuf(frames[k][1][:cut] + bytes(pad))
+                     for k, cut, pad in rows])
+
+
+class TestNoStacksOnFastRows:
+    """Regression guard: fast rows never walk ``parse_stack``."""
+
+    @pytest.mark.parametrize("filter_str",
+                             ["tcp", "tls", "tls.sni ~ '.*\\.com$'"])
+    def test_byte_stream_run_parses_no_stack(self, monkeypatch,
+                                             filter_str):
+        original = stack_module.parse_stack
+        calls = []
+
+        def counting(mbuf):
+            calls.append(mbuf)
+            return original(mbuf)
+
+        # Every module holding its own reference, the filter code
+        # generator included (its namespace is built at compile time).
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and \
+                    getattr(module, "parse_stack", None) is original:
+                monkeypatch.setattr(module, "parse_stack", counting)
+        packets = sorted(
+            tls_flow(FlowSpec("10.0.0.1", "171.64.1.1", 1000, 443),
+                     "a.example.com")
+            + tls_flow(FlowSpec("2001:db8::1", "2001:db8::2", 1001, 443),
+                       "b.example.org", start_ts=0.001)
+            + http_flow(FlowSpec("10.0.0.2", "171.64.1.2", 1002, 80),
+                        host="h.test", start_ts=0.002),
+            key=lambda m: m.timestamp)
+        assert all(decode_mbufs(packets).fast)
+        chunks = []
+        runtime = Runtime(RuntimeConfig(cores=2), filter_str=filter_str,
+                          datatype="byte_stream", callback=chunks.append)
+        runtime.run(iter(packets))
+        assert chunks
+        assert calls == []
+        assert all(m.stack is None for m in packets)
